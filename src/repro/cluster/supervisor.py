@@ -131,7 +131,6 @@ class Supervisor:
         host: str = "127.0.0.1",
         fsync: str = "always",
         checkpoint_bytes: Optional[int] = None,
-        extra_args: Optional[List[str]] = None,
     ) -> Member:
         def argv(port: Optional[int]) -> List[str]:
             command = [
@@ -151,7 +150,6 @@ class Supervisor:
             ]
             if checkpoint_bytes is not None:
                 command += ["--checkpoint-bytes", str(checkpoint_bytes)]
-            command += extra_args or []
             return command
 
         return self._spawn(Member(name, "worker", argv))
@@ -162,7 +160,6 @@ class Supervisor:
         follow: List[Path],
         host: str = "127.0.0.1",
         poll_interval: float = 0.05,
-        extra_args: Optional[List[str]] = None,
     ) -> Member:
         def argv(port: Optional[int]) -> List[str]:
             command = [
@@ -180,7 +177,6 @@ class Supervisor:
             ]
             for directory in follow:
                 command += ["--follow", str(directory)]
-            command += extra_args or []
             return command
 
         return self._spawn(Member(name, "replica", argv))

@@ -1,18 +1,16 @@
 """Read-only facades over pinned versions.
 
-A :class:`SnapshotReader` looks exactly like a
+A :class:`SnapshotReader` stands in for a
 :class:`~repro.server.catalog.ServedDatabase` to the session layer —
-same ``matchings`` / ``query_program`` / ``explain`` / ``browse`` /
-``to_json`` / ``save`` verbs — but every verb executes against one
+same ``matchings`` / ``explain`` / ``browse`` / ``to_json`` / ``save``
+verbs, plus ``query_program`` — but every verb executes against one
 pinned immutable version, so no read lock is ever taken and a writer
 can commit mid-query without the reader noticing.
 
-``query_program`` deserves a note: the engines' live query path is
-capture/run/restore against the *shared* engine, which is only safe
-under an exclusive lock.  The snapshot path instead runs each QUERY on
-a fresh copy-on-write clone of the pinned version
-(:meth:`Version.query_target`), so any number of concurrent queries
-coexist — and none of them can perturb the snapshot.
+``query_program`` exists only here: each QUERY runs on a fresh
+copy-on-write clone of the pinned version (:meth:`Version.query_target`),
+so any number of concurrent queries coexist — and none of them can
+perturb the snapshot or the live database.
 """
 
 from __future__ import annotations
@@ -64,6 +62,11 @@ class SnapshotReader(ServedDatabase):
 
     # -- reads that need snapshot-specific handling ---------------------
     def query_program(self, source: str) -> Tuple[List[Any], Tuple[int, int]]:
+        """Query-mode run: the result is "only a temporary entity".
+
+        Returns the per-operation reports and the (nodes, edges) size
+        of the temporary result.  The pinned version is untouched.
+        """
         program = self._compile(source)
         if self.session is not None:
             # Session.query copies the instance first; copying a frozen

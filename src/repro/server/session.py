@@ -9,14 +9,14 @@ right concurrency discipline:
 mode      lock                runs where
 ========  ==================  ==================================
 local     none                event loop (cheap, metadata only)
-read      none (MVCC) /       worker thread, budgets armed,
-          read (legacy)       against a pinned snapshot version
+read      none                worker thread, budgets armed,
+                              against a pinned snapshot version
 write     write               worker thread, budgets armed
 catalog   catalog mutex +     worker thread
           database write
 ========  ==================  ==================================
 
-Under MVCC (the server default) a read verb never waits for any lock:
+A read verb never waits for any lock:
 it pins the database's current published version
 (:meth:`~repro.server.catalog.ServedDatabase.read_view`) and executes
 against that immutable snapshot, releasing the pin when done.  A RUN
@@ -137,15 +137,15 @@ class ServerSession:
             async with server.catalog_lock:
                 async with server.lock_for(name).write_locked(server.lock_timeout):
                     result = await server.run_blocking(lambda: handler(args))
-        elif mode == "read" and server.mvcc:
+        elif mode == "read":
             name = args.get("db", self.database_name)
             if not isinstance(name, str) or not name:
                 raise ProtocolError("no database selected (USE one first or pass 'db')")
             limits = self._request_limits(args)
             database = self.catalog.get(name)
-            # MVCC fast path: pin the current version and run against
-            # it — no lock of any kind, so a long query never delays a
-            # writer (and vice versa)
+            # pin the current version and run against it — no lock of
+            # any kind, so a long query never delays a writer (and vice
+            # versa)
             reader = database.read_view()
             server.stats.record_lock_wait(name, 0.0)
             try:
@@ -165,16 +165,10 @@ class ServerSession:
                 raise ProtocolError("no database selected (USE one first or pass 'db')")
             limits = self._request_limits(args)
             database = self.catalog.get(name)
-            lock = server.lock_for(name)
-            locked = (
-                lock.read_locked(server.lock_timeout)
-                if mode == "read"
-                else lock.write_locked(server.lock_timeout)
-            )
             ticket = None
             checkpoint_job = None
             wait_started = time.perf_counter()
-            async with locked:
+            async with server.lock_for(name).write_locked(server.lock_timeout):
                 server.stats.record_lock_wait(name, time.perf_counter() - wait_started)
                 try:
                     result = await server.run_blocking(

@@ -10,10 +10,9 @@ written since, not to the database's lifetime.
 The write protocol is the classic atomic-publish dance:
 
 1. write ``checkpoint-<epoch>.json.tmp`` (instance streamed via
-   :func:`repro.io.serialize.write_instance_columnar` for columnar
-   stores — the intern table once, then flat int columns — or the
-   per-record :func:`repro.io.serialize.write_instance` otherwise; no
-   second in-memory copy either way) and ``fsync`` it;
+   :func:`repro.io.serialize.write_instance_columnar` — the intern
+   table once, then flat int columns, no second in-memory copy) and
+   ``fsync`` it;
 2. ``os.replace`` onto the final name (atomic on POSIX);
 3. ``fsync`` the directory so the rename itself is durable.
 
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.core.instance import Instance
-from repro.io.serialize import write_instance, write_instance_columnar
+from repro.io.serialize import write_instance_columnar
 from repro.txn import faults
 from repro.wal.record import WalFormatError
 
@@ -90,14 +89,11 @@ def write_checkpoint(
     }
     with open(tmp, "w") as fp:
         # compose {header..., "instance": <streamed>} without building
-        # the instance document in memory; columnar stores stream the
-        # compact format 2 (intern table once, then columns in bulk)
+        # the instance document in memory, in the compact format 2
+        # (intern table once, then columns in bulk)
         fp.write(json.dumps(header, sort_keys=True)[:-1])
         fp.write(', "instance": ')
-        if hasattr(instance.store, "snapshot_columns"):
-            write_instance_columnar(instance, fp)
-        else:
-            write_instance(instance, fp)
+        write_instance_columnar(instance, fp)
         fp.write("}")
         fp.flush()
         os.fsync(fp.fileno())

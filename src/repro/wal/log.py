@@ -25,7 +25,8 @@ dead process, so memory and disk cannot silently diverge.
 
 :class:`WalReader` scans segments tolerantly: a torn tail (partial
 write of the final record) is detected by CRC and reported with the
-valid byte length so recovery can drop it.
+valid byte length so recovery can drop it.  A segment in the retired
+binary format is refused rather than read as torn.
 """
 
 from __future__ import annotations
@@ -37,38 +38,12 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.txn import faults
 from repro.wal.record import (
-    BINARY_MAGIC,
+    RETIRED_BINARY_MAGIC,
     WalError,
+    WalFormatError,
     encode_record,
-    encode_record_binary,
-    scan_binary_records,
     scan_records,
-    scan_text_records,
 )
-
-#: WAL segment payload formats (``--wal-format``).
-TEXT_FORMAT = "text"
-BINARY_FORMAT = "binary"
-
-
-def parse_wal_format(text: str) -> str:
-    """Validate a ``--wal-format`` value (``text`` or ``binary``)."""
-    value = str(text).strip().lower()
-    if value not in (TEXT_FORMAT, BINARY_FORMAT):
-        raise WalError(f"unknown WAL format {text!r} (expected text or binary)")
-    return value
-
-
-def sniff_segment_format(path: Union[str, Path]) -> Optional[str]:
-    """The format of an existing segment, or ``None`` if empty/absent."""
-    try:
-        with open(path, "rb") as fp:
-            head = fp.read(len(BINARY_MAGIC))
-    except OSError:
-        return None
-    if not head:
-        return None
-    return BINARY_FORMAT if head == BINARY_MAGIC else TEXT_FORMAT
 
 
 class FsyncPolicy:
@@ -158,14 +133,9 @@ class WalWriter:
         self,
         path: Union[str, Path],
         policy: Union[str, FsyncPolicy] = "always",
-        wal_format: str = TEXT_FORMAT,
     ) -> None:
         self.path = Path(path)
         self.policy = parse_fsync_policy(policy)
-        #: configured format for *fresh* segments; a non-empty existing
-        #: segment keeps the format it was started with (sniffed below)
-        self.wal_format = parse_wal_format(wal_format)
-        existing = sniff_segment_format(self.path)
         # unbuffered: the written offset *is* the file offset, which the
         # torn-tail simulation and group-commit bookkeeping rely on
         self._file = open(self.path, "ab", buffering=0)
@@ -175,10 +145,6 @@ class WalWriter:
         # blocking appends; always acquired *before* ``_lock``
         self._flush_lock = threading.RLock()
         self._written = self._file.tell()
-        self._segment_format = existing if existing is not None else self.wal_format
-        if self._written == 0 and self._segment_format == BINARY_FORMAT:
-            self._file.write(BINARY_MAGIC)
-            self._written = self._file.tell()
         self._synced = self._written
         self._pending: List[CommitTicket] = []
         self._poison: Optional[BaseException] = None
@@ -195,10 +161,7 @@ class WalWriter:
     # ------------------------------------------------------------------
     def append(self, doc: Dict[str, Any]) -> CommitTicket:
         """Frame and write one record; returns its durability ticket."""
-        if self._segment_format == BINARY_FORMAT:
-            data = encode_record_binary(doc)
-        else:
-            data = encode_record(doc)
+        data = encode_record(doc)
         with self._lock:
             self._require_usable()
             try:
@@ -394,13 +357,8 @@ class WalWriter:
                 self._require_usable()
                 self._file.close()
                 self.path = Path(new_path)
-                existing = sniff_segment_format(self.path)
                 self._file = open(self.path, "ab", buffering=0)
                 self._written = self._file.tell()
-                self._segment_format = existing if existing is not None else self.wal_format
-                if self._written == 0 and self._segment_format == BINARY_FORMAT:
-                    self._file.write(BINARY_MAGIC)
-                    self._written = self._file.tell()
                 self._synced = self._written
 
     def poison(self, error: BaseException) -> None:
@@ -432,12 +390,18 @@ class WalWriter:
 
 
 class WalReader:
-    """Torn-tail tolerant segment scanning."""
+    """Torn-tail tolerant segment scanning.
+
+    Every entry point refuses a segment in the retired binary format
+    with :class:`~repro.wal.record.WalFormatError` naming the file, and
+    leaves its bytes untouched.
+    """
 
     @staticmethod
     def scan(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int, int]:
         """Decode a segment: ``(records, valid_byte_length, torn)``."""
         data = Path(path).read_bytes()
+        _refuse_retired_format(path, data)
         return scan_records(data)
 
     @staticmethod
@@ -458,18 +422,10 @@ class WalReader:
             size = os.fstat(fp.fileno()).st_size
             if size < offset:
                 return [], size
-            head = fp.read(len(BINARY_MAGIC))
-            binary = head == BINARY_MAGIC
-            if binary and offset < len(BINARY_MAGIC):
-                # a fresh tailer starts at 0; binary records begin
-                # after the segment magic
-                offset = len(BINARY_MAGIC)
+            _refuse_retired_format(path, fp.read(len(RETIRED_BINARY_MAGIC)))
             fp.seek(offset)
             data = fp.read()
-        if binary:
-            records, valid_length, _torn = scan_binary_records(data)
-        else:
-            records, valid_length, _torn = scan_text_records(data)
+        records, valid_length, _torn = scan_records(data)
         return records, offset + valid_length
 
     @staticmethod
@@ -487,3 +443,17 @@ class WalReader:
                 fp.flush()
                 os.fsync(fp.fileno())
         return records, torn
+
+
+def _refuse_retired_format(path: Union[str, Path], head: bytes) -> None:
+    """Raise if a segment starts with the retired binary format's magic.
+
+    Scanning such a segment as text would find a torn record at offset
+    0: recovery would truncate every commit in it away and a tailer
+    would wait at offset 0 forever.
+    """
+    if head.startswith(RETIRED_BINARY_MAGIC):
+        raise WalFormatError(
+            f"{path}: segment is in the retired binary WAL format (GWB1); "
+            "only NDJSON segments can be read"
+        )

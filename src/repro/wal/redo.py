@@ -243,12 +243,10 @@ def _apply_op(database: Any, op: Dict[str, Any], interns: Dict[str, str]) -> Non
 
 
 def _op_label(op: Dict[str, Any], interns: Dict[str, str]) -> str:
-    """Decode an op's label: lid via the record's intern map, with the
-    legacy ``label`` string key accepted for pre-columnar WALs."""
-    label = op.get("label")
-    if label is not None:
-        return label
-    lid = op["lid"]
+    """Decode an op's label id via the record's intern map."""
+    lid = op.get("lid")
+    if lid is None:
+        raise WalFormatError(f"native redo op {op.get('op')!r} carries no label id")
     try:
         return interns[str(lid)]
     except KeyError:

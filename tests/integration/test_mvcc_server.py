@@ -2,9 +2,9 @@
 
 Two contracts beyond what ``test_server.py`` already covers:
 
-* **no read lock** — under MVCC every query verb (``MATCH``, ``QUERY``,
+* **no read lock** — every query verb (``MATCH``, ``QUERY``,
   ``BROWSE``, ``EXPORT``, ``SAVE``) runs without acquiring *any* lock:
-  the instrumented lock classes observe zero acquisitions across all
+  the instrumented write mutex observes zero acquisitions across all
   five verbs;
 * **liveness** — a deliberately slow ``MATCH`` (a three-variable join
   over an all-knowing clique, ~216k matchings) overlaps 50 commits and
@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import Instance, Scheme
 from repro.server import BackgroundServer, Catalog, GoodClient, GoodServer
-from repro.server.locks import RWLock, WriteMutex
+from repro.server.locks import WriteMutex
 
 
 def people_scheme() -> Scheme:
@@ -52,26 +52,13 @@ def test_mvcc_server_uses_writer_only_mutex(served):
     server, _, _ = served
     lock = server.lock_for("people")
     assert isinstance(lock, WriteMutex)
-    assert not hasattr(lock, "read_locked")
-
-
-def test_no_mvcc_server_keeps_rwlock():
-    server = GoodServer(Catalog(), mvcc=False)
-    assert isinstance(server.lock_for("people"), RWLock)
 
 
 def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
     """The acceptance assertion: all five query verbs run without a
-    single lock acquisition of either kind."""
+    single acquisition of the per-database lock."""
     server, _, _ = served
-    read_acquisitions: list = []
     write_acquisitions: list = []
-
-    original_read = RWLock.acquire_read
-
-    async def counting_read(self):
-        read_acquisitions.append(1)
-        await original_read(self)
 
     original_write = WriteMutex.write_locked
 
@@ -81,7 +68,6 @@ def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
         async with original_write(self, timeout):
             yield
 
-    monkeypatch.setattr(RWLock, "acquire_read", counting_read)
     monkeypatch.setattr(WriteMutex, "write_locked", counting_write)
 
     with connect(served) as client:
@@ -95,7 +81,6 @@ def test_read_verbs_acquire_no_lock(served, monkeypatch, tmp_path):
         client.browse(person, hops=1)
         client.export()
         client.save(str(tmp_path / "people.json"))
-        assert read_acquisitions == []
         assert write_acquisitions == []
 
 
@@ -106,7 +91,6 @@ def test_stats_surface_snapshot_and_lock_wait_counters(served):
         client.run('addnode Person(name -> n) { n: String = "ada" }')
         client.match("{ p: Person }")
         stats = client.stats()
-    assert stats["mvcc"] is True
     bucket = stats["databases"]["people"]
     snapshots = bucket["snapshots"]
     assert snapshots["versions_published"] >= 2  # initial + the RUN
@@ -166,8 +150,8 @@ def test_long_match_overlaps_fifty_commits(served):
     # snapshot consistency: every triple over the pin-time clique, no
     # torn count from the 50 concurrent commits
     assert outcome["found"]["total"] == n**3
-    # liveness: the writers were not queued behind the reader — under
-    # the legacy RWLock all 50 commits would finish after the MATCH
+    # liveness: the writers were not queued behind the reader — a
+    # reader-writer lock would finish all 50 commits after the MATCH
     commits_before_match_answered = sum(
         1 for finished in commit_times if finished < outcome["done_at"]
     )

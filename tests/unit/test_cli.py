@@ -314,7 +314,7 @@ def test_connect_piped_session(tmp_path, capsys, monkeypatch):
     assert "13 matchings" in out
     assert "database now:" in out
     # :stats renders the nested payload instead of dumping JSON
-    assert "isolation: mvcc" in out
+    assert "uptime" in out
     assert "database hyper:" in out
     assert "snapshots:" in out
     assert "lock wait:" in out

@@ -9,6 +9,7 @@ protocol, and the data directory's locking and atomic create/drop.
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -34,6 +35,7 @@ from repro.wal.checkpoint import (
     write_checkpoint,
 )
 from repro.wal.record import (
+    RETIRED_BINARY_MAGIC,
     WalFormatError,
     decode_line,
     dejsonify,
@@ -469,99 +471,42 @@ class TestRecovery:
 
 
 # ----------------------------------------------------------------------
-# binary record framing
+# refusals: retired binary segments, undecodable redo labels
 # ----------------------------------------------------------------------
 
 
-class TestBinaryRecordFraming:
-    DOC = {
-        "kind": "commit",
-        "lsn": 7,
-        "redo": [{"op": "add_edge", "source": 3, "lid": 2, "target": -4}],
-        "pair": ("v", 1.5),
-        "flag": True,
-        "missing": None,
-        "big": 1 << 40,
-    }
-
-    def test_roundtrip_preserves_every_type(self):
-        from repro.wal.record import encode_record_binary, scan_binary_records
-
-        frame = encode_record_binary(self.DOC)
-        records, valid, torn = scan_binary_records(frame)
-        assert records == [self.DOC] and valid == len(frame) and torn == 0
-        # tuple-ness survives natively, without $t markers
-        assert isinstance(records[0]["pair"], tuple)
-
-    def test_scan_autodetects_magic(self):
-        from repro.wal.record import BINARY_MAGIC, encode_record_binary
-
-        data = BINARY_MAGIC + encode_record_binary({"lsn": 1}) + encode_record_binary({"lsn": 2})
-        records, valid, torn = scan_records(data)
-        assert [r["lsn"] for r in records] == [1, 2]
-        assert valid == len(data) and torn == 0
-
-    def test_crc_rejects_flipped_byte(self):
-        from repro.wal.record import encode_record_binary, scan_binary_records
-
-        frame = bytearray(encode_record_binary({"lsn": 1}))
-        frame[-1] ^= 0x01
-        records, valid, torn = scan_binary_records(bytes(frame))
-        assert records == [] and valid == 0 and torn == 1
-
-    def test_torn_tail_at_every_byte(self):
-        from repro.wal.record import encode_record_binary, scan_binary_records
-
-        good = encode_record_binary({"lsn": 1}) + encode_record_binary({"lsn": 2})
-        final = encode_record_binary(self.DOC)
-        for cut in range(1, len(final)):
-            records, valid, torn = scan_binary_records(good + final[:cut])
-            assert [r["lsn"] for r in records] == [1, 2]
-            assert valid == len(good) and torn == 1
-
-    def test_rejects_out_of_range_int(self):
-        from repro.wal.record import encode_record_binary
-
-        with pytest.raises(WalFormatError):
-            encode_record_binary({"lsn": 1 << 63})
+def test_retired_binary_segment_is_refused_untouched(tmp_path):
+    root = tmp_path / "data"
+    catalog, _ = recover_catalog(root)
+    catalog.create("g", backend="native", scheme_data=scheme_to_json(small_scheme()))
+    catalog.close_durability()
+    segment = root / "g" / segment_name(0)
+    # only the header decides; the frame bytes after it are never read
+    data = RETIRED_BINARY_MAGIC + bytes(range(32))
+    segment.write_bytes(data)
+    with pytest.raises(WalFormatError, match=re.escape(str(segment))):
+        recover_catalog(root)
+    assert segment.read_bytes() == data
+    with pytest.raises(WalFormatError, match=re.escape(str(segment))):
+        WalReader.tail(segment, 0)
+    assert segment.read_bytes() == data
 
 
-class TestBinaryWalWriter:
-    def test_append_and_tail_binary_segment(self, tmp_path):
-        segment = tmp_path / "w.wal"
-        writer = WalWriter(segment, "always", wal_format="binary")
-        writer.append({"kind": "commit", "lsn": 1}).wait(0)
-        writer.append({"kind": "commit", "lsn": 2}).wait(0)
-        writer.close()
-        from repro.wal.record import BINARY_MAGIC
+@pytest.mark.parametrize(
+    "op",
+    [
+        {"op": "add_node", "id": 50, "lid": 99},  # lid absent from the intern map
+        {"op": "add_node", "id": 50, "label": "Person"},  # no lid at all
+    ],
+)
+def test_native_redo_rejects_undecodable_label(op):
+    from repro.server.catalog import ServedDatabase
+    from repro.wal.redo import apply_commit
 
-        assert segment.read_bytes().startswith(BINARY_MAGIC)
-        records, offset = WalReader.tail(segment, 0)
-        assert [r["lsn"] for r in records] == [1, 2]
-        # the offset is stable: a second poll returns nothing new
-        assert WalReader.tail(segment, offset) == ([], offset)
-
-    def test_existing_text_segment_wins_over_configured_binary(self, tmp_path):
-        seg0, seg1 = tmp_path / "seg0.wal", tmp_path / "seg1.wal"
-        text_writer = WalWriter(seg0, "always")
-        text_writer.append({"kind": "commit", "lsn": 1}).wait(0)
-        text_writer.close()
-        writer = WalWriter(seg0, "always", wal_format="binary")
-        writer.append({"kind": "commit", "lsn": 2}).wait(0)
-        writer.rotate(seg1)
-        writer.append({"kind": "commit", "lsn": 3}).wait(0)
-        writer.close()
-        from repro.wal.record import BINARY_MAGIC
-
-        # segment 0 stayed text end to end; the post-rotate segment is binary
-        data0 = seg0.read_bytes()
-        assert not data0.startswith(BINARY_MAGIC)
-        records, _, torn = scan_records(data0)
-        assert [r["lsn"] for r in records] == [1, 2] and torn == 0
-        data1 = seg1.read_bytes()
-        assert data1.startswith(BINARY_MAGIC)
-        records, _, torn = scan_records(data1)
-        assert [r["lsn"] for r in records] == [3] and torn == 0
+    database = ServedDatabase("g", Instance(small_scheme()))
+    record = {"kind": "commit", "lsn": 1, "redo": [{"op": "interns", "map": {"1": "Person"}}, op]}
+    with pytest.raises(WalFormatError):
+        apply_commit(database, record)
 
 
 # ----------------------------------------------------------------------
